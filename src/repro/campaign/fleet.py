@@ -23,8 +23,14 @@ from typing import Optional
 from ..errors import ReproError
 from ..lang.memo import source_fingerprint
 from ..mc.cache import SCHEMA_VERSION, ResultCache, _module_digest, _sha256
-from ..mc.parallel import WorkerConfig, WorkItem, _run_items
-from ..mc.supervisor import RunJournal, RunStats, SupervisorPolicy
+from ..mc.parallel import (
+    FleetRun,
+    WorkerConfig,
+    WorkItem,
+    _run_items,
+    fleet_config_fields,
+)
+from ..mc.supervisor import RunJournal, SupervisorPolicy
 from .plans import CAMPAIGN_SCHEMA, CampaignSpec
 
 _CAMPAIGN_FP: Optional[str] = None
@@ -58,7 +64,7 @@ def campaign_fingerprint() -> str:
 
 
 @dataclass
-class CampaignRun:
+class CampaignRun(FleetRun):
     """A full campaign: merged outcomes plus run metadata."""
 
     spec: CampaignSpec
@@ -66,30 +72,14 @@ class CampaignRun:
     #: Shard indexes that did not complete (interrupted/quarantined),
     #: with the reason recorded by their degraded payloads.
     incomplete_shards: list
-    jobs: int = 1
-    #: Cache hit/miss statistics (:class:`repro.mc.cache.CacheStats`).
-    stats: Optional[object] = None
-    run_id: Optional[str] = None
-    supervision: Optional[RunStats] = None
-
-    @property
-    def interrupted(self) -> bool:
-        return bool(self.supervision is not None
-                    and self.supervision.interrupted)
 
     @property
     def complete(self) -> bool:
         return not self.incomplete_shards
 
-    def summary_line(self) -> str:
-        line = (f"run: jobs={self.jobs}, shards={self.spec.n_shards}, "
+    def _scope(self) -> str:
+        return (f", shards={self.spec.n_shards}, "
                 f"runs={len(self.outcomes)}/{self.spec.runs}")
-        if self.stats is not None:
-            line += f", {self.stats.line()}, {self.stats.stores} stored"
-        if self.supervision is not None and self.supervision.noteworthy():
-            from ..mc.report import format_run_stats
-            line += f", {format_run_stats(self.supervision)}"
-        return line
 
 
 def shard_keys(spec: CampaignSpec, sources: dict) -> dict:
@@ -130,12 +120,7 @@ def run_campaign(spec: CampaignSpec, *, jobs: int = 1,
     sources = read_sources(list(spec.files))
     config = WorkerConfig(
         campaign_spec=spec.to_json(),
-        fault_plan=policy.fault_plan if policy is not None else None,
-        trace_dir=(observation.worker_trace_dir
-                   if observation is not None else None),
-        collect_obs=observation is not None,
-        heartbeat_dir=(observation.worker_heartbeat_dir
-                       if observation is not None else None),
+        **fleet_config_fields(policy, observation),
     )
     items = [
         WorkItem(kind="campaign", checker="", paths=tuple(spec.files),

@@ -132,32 +132,20 @@ def execute_run(functions: dict, dispatch: dict, spec: CampaignSpec,
     }
 
 
-def run_campaign_item(item, config) -> dict:
+def run_campaign_item(item, config, program) -> dict:
     """Execute one campaign shard work item (called in fleet workers).
 
-    Mirrors the checker/metal item runners: deadline skips and
-    unreadable inputs degrade to the fleet's existing skipped/quarantine
-    payloads instead of killing the worker; worker-site fault rules
-    (``worker_crash``/...) perturb campaign items exactly as they do
-    checker items, so the supervisor's crash/retry machinery is
-    exercised by the same plans.
+    ``program`` is the parsed protocol.  The fleet's item prologue
+    (:func:`repro.mc.parallel._execute_item_plain`) has already turned
+    deadline skips and unreadable inputs into its skipped/quarantine
+    payloads and fired worker-site fault rules (``worker_crash``/...),
+    exactly as for checker items, so the supervisor's crash/retry
+    machinery is exercised by the same plans.
     """
-    from ..errors import SourceReadError
     from ..mc import parallel as fleet
     from ..mc.cache import SCHEMA_VERSION
-    from ..project import Program, read_sources
 
-    if fleet._past_deadline(config):
-        return fleet._skipped_payload(
-            item, config, "not analysed — run deadline exceeded")
-    fleet._maybe_worker_fault(item)
     spec = CampaignSpec.from_json(config.campaign_spec)
-    try:
-        files = read_sources(item.paths)
-    except SourceReadError as exc:
-        return fleet._quarantine_payload(item, config, type(exc).__name__,
-                                         str(exc), phase="input")
-    program = Program(files, unit_memo=True)
     functions = {f.name: f for f in program.functions()}
     dispatch = {op: name for op, name in spec.dispatch}
     missing = sorted(name for name in dispatch.values()

@@ -9,7 +9,7 @@ them together into a global call graph* and traverse that (paper §3.2 and
   annotations to a JSON-able dict (and optionally a file);
 - :func:`load_flowgraph` reads one back;
 - :class:`CallGraph` links a set of flow graphs, exposes callees/callers,
-  and builds a :mod:`networkx` digraph for cycle/SCC queries.
+  and answers cycle/SCC queries (Tarjan's algorithm).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
-
-import networkx as nx
 
 from ..lang import ast
 from .graph import Cfg
@@ -154,12 +152,12 @@ class CallGraph:
         self.graphs: dict[str, FlowGraph] = {}
         for graph in graphs:
             self.graphs[graph.function] = graph
-        self.nx = nx.DiGraph()
-        for name, graph in self.graphs.items():
-            self.nx.add_node(name)
-            for callee in graph.callees():
-                if callee in self.graphs:
-                    self.nx.add_edge(name, callee)
+        #: Caller -> callees, restricted to functions in the set.
+        self.edges: dict[str, set[str]] = {
+            name: {callee for callee in graph.callees()
+                   if callee in self.graphs}
+            for name, graph in self.graphs.items()
+        }
 
     @staticmethod
     def from_files(paths: Iterable[Path]) -> "CallGraph":
@@ -176,28 +174,77 @@ class CallGraph:
         return self.graphs[name]
 
     def callees(self, name: str) -> set[str]:
-        if name not in self.nx:
-            return set()
-        return set(self.nx.successors(name))
+        return set(self.edges.get(name, ()))
 
     def callers(self, name: str) -> set[str]:
-        if name not in self.nx:
-            return set()
-        return set(self.nx.predecessors(name))
+        return {caller for caller, callees in self.edges.items()
+                if name in callees}
+
+    def sccs(self) -> list[list[str]]:
+        """Strongly connected components, callees first, each sorted.
+
+        Iterative Tarjan: an SCC is emitted only after every SCC it
+        calls into, which is the bottom-up order inter-procedural
+        summaries need.  Roots and callees are visited in a fixed order
+        (functions in link order, callees sorted), so the result does
+        not depend on set iteration order.
+        """
+        index: dict[str, int] = {}
+        low: dict[str, int] = {}
+        stack: list[str] = []
+        on_stack: set[str] = set()
+        result: list[list[str]] = []
+        for root in self.graphs:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(sorted(self.edges[root])))]
+            while work:
+                node, callees = work[-1]
+                for callee in callees:
+                    if callee not in index:
+                        index[callee] = low[callee] = len(index)
+                        stack.append(callee)
+                        on_stack.add(callee)
+                        work.append((callee, iter(sorted(self.edges[callee]))))
+                        break
+                    if callee in on_stack:
+                        low[node] = min(low[node], index[callee])
+                else:
+                    work.pop()
+                    if work:
+                        caller = work[-1][0]
+                        low[caller] = min(low[caller], low[node])
+                    if low[node] == index[node]:
+                        members = []
+                        while True:
+                            member = stack.pop()
+                            on_stack.discard(member)
+                            members.append(member)
+                            if member == node:
+                                break
+                        result.append(sorted(members))
+        return result
+
+    def in_cycle(self, members: list[str]) -> bool:
+        """Is this SCC a call cycle (several members, or self-recursion)?"""
+        return len(members) > 1 or members[0] in self.edges[members[0]]
 
     def recursive_functions(self) -> set[str]:
         """Functions involved in any call cycle (including self-recursion)."""
-        result: set[str] = set()
-        for scc in nx.strongly_connected_components(self.nx):
-            if len(scc) > 1:
-                result |= scc
-            else:
-                (only,) = scc
-                if self.nx.has_edge(only, only):
-                    result.add(only)
-        return result
+        return {name for members in self.sccs() if self.in_cycle(members)
+                for name in members}
 
     def reachable_from(self, name: str) -> set[str]:
-        if name not in self.nx:
+        if name not in self.edges:
             return set()
-        return set(nx.descendants(self.nx, name)) | {name}
+        seen = {name}
+        pending = [name]
+        while pending:
+            for callee in self.edges[pending.pop()]:
+                if callee not in seen:
+                    seen.add(callee)
+                    pending.append(callee)
+        return seen

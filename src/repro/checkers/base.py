@@ -229,49 +229,78 @@ def all_checkers() -> list[Checker]:
     return [cls() for cls in _REGISTRY.values()]
 
 
+#: Why a checker past the run deadline has no result, in every driver.
+DEADLINE_NOTE = "not analysed — run deadline exceeded"
+
+
+def past_deadline(deadline: Optional[float]) -> bool:
+    """Has the absolute ``time.time()`` run deadline passed?"""
+    return deadline is not None and time.time() >= deadline
+
+
+def skipped_result(name: str, where: str, note: str) -> CheckerResult:
+    """A degraded, empty result for work on ``where`` that never ran."""
+    result = CheckerResult(checker=name, degraded=True)
+    result.degradation_notes.append(f"[{name}] {where}: {note}")
+    return result
+
+
+def run_checker(checker: Checker, program: Program, *,
+                keep_going: bool = False,
+                deadline: Optional[float] = None) -> CheckerResult:
+    """Run one checker over ``program`` under the run's crash policy.
+
+    The one policy both drivers share (:func:`run_all` and the fleet's
+    checker items in :mod:`repro.mc.parallel`):
+
+    * past ``deadline``, the checker is skipped with a degraded, noted
+      result (partial results now beat complete results never);
+    * a pack checker that raises is quarantined unconditionally —
+      third-party code blowing up costs that pack's result, never the
+      run;
+    * a builtin that raises is quarantined under ``keep_going`` and
+      propagates otherwise.
+
+    A quarantined checker yields a degraded, otherwise-empty result.
+    """
+    if past_deadline(deadline):
+        return skipped_result(checker.name, ", ".join(program.units),
+                              DEADLINE_NOTE)
+    try:
+        return checker.check(program)
+    except Exception as exc:
+        from_pack = is_pack_checker(checker.name)
+        if not keep_going and not from_pack:
+            raise
+        from ..mc.resilience import Quarantine
+        result = CheckerResult(checker=checker.name, degraded=True)
+        result.quarantines.append(Quarantine(
+            checker=checker.name, function="*",
+            phase="pack" if from_pack else "checker",
+            error_type=type(exc).__name__, message=str(exc),
+        ))
+        return result
+
+
 def run_all(program: Program,
             names: Optional[list[str]] = None, *,
             keep_going: bool = False,
             deadline: Optional[float] = None) -> dict[str, CheckerResult]:
     """Run the named checkers (default: all) over ``program``.
 
-    With ``keep_going``, one checker blowing up costs only that checker:
-    its crash becomes a quarantine diagnostic on an otherwise-empty
-    (degraded) result, and every other checker still reports — the
-    engine analog of the simulator surviving a single handler's fault.
-
-    ``deadline`` is an absolute ``time.time()`` instant bounding the
-    whole run: checkers not yet started when it passes are skipped with
-    a degraded, noted result (partial results now beat complete results
-    never).  The parallel driver (:mod:`repro.mc.parallel`) shares the
-    same deadline across every worker.
+    Each checker runs through :func:`run_checker`: with ``keep_going``,
+    one checker blowing up costs only that checker, and every other
+    checker still reports — the engine analog of the simulator
+    surviving a single handler's fault.  ``deadline`` is an absolute
+    ``time.time()`` instant bounding the whole run; the parallel driver
+    (:mod:`repro.mc.parallel`) shares the same deadline across every
+    worker.
     """
     checkers = (
         [get_checker(n) for n in names] if names is not None else all_checkers()
     )
-    results: dict[str, CheckerResult] = {}
-    for checker in checkers:
-        if deadline is not None and time.time() >= deadline:
-            result = CheckerResult(checker=checker.name, degraded=True)
-            result.degradation_notes.append(
-                f"[{checker.name}] not run: run deadline exceeded")
-            results[checker.name] = result
-            continue
-        try:
-            results[checker.name] = checker.check(program)
-        except Exception as exc:
-            # Pack checkers run sandboxed unconditionally: third-party
-            # code blowing up costs that pack's result, never the run.
-            # Builtins keep the opt-in keep_going contract.
-            from_pack = is_pack_checker(checker.name)
-            if not keep_going and not from_pack:
-                raise
-            from ..mc.resilience import Quarantine
-            result = CheckerResult(checker=checker.name, degraded=True)
-            result.quarantines.append(Quarantine(
-                checker=checker.name, function="*",
-                phase="pack" if from_pack else "checker",
-                error_type=type(exc).__name__, message=str(exc),
-            ))
-            results[checker.name] = result
-    return results
+    return {
+        checker.name: run_checker(checker, program, keep_going=keep_going,
+                                  deadline=deadline)
+        for checker in checkers
+    }

@@ -33,8 +33,9 @@ Subcommands:
     ``confirmed``/``unmanifested`` plus ``checker gap`` rows for
     dynamic violations nothing static predicted (docs/campaign.md).
 
-``mc-check list``
-    List registered checkers with their Table 7 metadata.
+``mc-check checkers``
+    List builtin and pack checkers with their pack, version and
+    Table 7 metal LOC.
 
 ``mc-check stats METRICS.json``
     Render a ``--metrics-out`` document as a human-readable table.
@@ -80,7 +81,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .checkers import all_checkers, checker_names, get_checker
+from .checkers import checker_names, get_checker
 from .errors import ReproError
 from .lang import annotate, parse
 from .mc import (
@@ -438,11 +439,9 @@ def cmd_metal(args) -> int:
     min_confidence = getattr(args, "min_confidence", None)
     jobs = resolve_jobs(args.jobs)
     budget_steps = getattr(args, "budget_steps", None)
-    budget_paths = getattr(args, "budget_paths", None)
     budget_seconds = getattr(args, "budget_seconds", None)
-    budgeted = (budget_steps is not None or budget_paths is not None
-                or budget_seconds is not None)
-    cache = _cache_from_args(args, budgeted=budgeted)
+    cache = _cache_from_args(
+        args, budgeted=budget_steps is not None or budget_seconds is not None)
     stop_flag = StopFlag()
     policy = _policy_from_args(args, stop_flag)
     observation = _observation_from_args(args)
@@ -455,7 +454,7 @@ def cmd_metal(args) -> int:
             run = metal_files(
                 args.checker, args.files, jobs=jobs, cache=cache,
                 keep_going=keep_going, budget_steps=budget_steps,
-                budget_paths=budget_paths, budget_seconds=budget_seconds,
+                budget_seconds=budget_seconds,
                 journal=journal, policy=policy, observation=observation,
                 feasibility=feasibility, frontend=frontend, engine=engine,
             )
@@ -828,13 +827,6 @@ def cmd_paths(args) -> int:
     return 0
 
 
-def cmd_list(args) -> int:
-    print(f"{'checker':16s} {'metal LOC':>9s}")
-    for checker in all_checkers():
-        print(f"{checker.name:16s} {checker.metal_loc:9d}")
-    return 0
-
-
 def cmd_stats(args) -> int:
     import json
     from .obs import format_metrics
@@ -1196,8 +1188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metal.add_argument("--budget-steps", type=int, default=None,
                          help="stop exploring after this many machine steps "
                               "(partial results, marked DEGRADED)")
-    p_metal.add_argument("--budget-paths", type=int, default=None,
-                         help="path cap for the naive engine fallback")
     p_metal.add_argument("--budget-seconds", type=float, default=None,
                          help="wall-clock cap for the whole analysis "
                               "(a single run-wide deadline, shared by all "
@@ -1299,9 +1289,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", help="per-function path statistics (Table 1 style)")
     p_paths.add_argument("files", nargs="+")
     p_paths.set_defaults(func=cmd_paths)
-
-    p_list = sub.add_parser("list", help="list registered checkers")
-    p_list.set_defaults(func=cmd_list)
 
     p_checkers = sub.add_parser(
         "checkers",

@@ -6,7 +6,8 @@ pairs: once a machine has entered a block in a given state, re-entering
 in the same state cannot produce new behaviour, so whole families of
 exponentially many paths are covered in linear work.  The
 :func:`run_machine_naive` variant enumerates paths explicitly and exists
-for the state-cache ablation benchmark (DESIGN.md §5).
+only as the state-cache ablation baseline (DESIGN.md §5) and a test
+oracle; no driver falls back to it.
 
 Two engine modes share this walker (``--engine``, docs/engine.md):
 
@@ -517,7 +518,6 @@ def _edge_store(run: _Run, block, store, edge, key):
 
 def run_machine_naive(sm: StateMachine, cfg: Cfg, sink: ReportSink,
                       max_paths: int = 100000,
-                      budget: Optional[Budget] = None,
                       feasibility: Optional[bool] = None) -> int:
     """Run ``sm`` by explicit path enumeration (no state cache).
 
@@ -539,12 +539,10 @@ def run_machine_naive(sm: StateMachine, cfg: Cfg, sink: ReportSink,
     if feasibility is None:
         feasibility = _feas.default_enabled()
     feas = _feas.for_cfg(cfg) if feasibility else None
-    run = _Run(sm, cfg, sink, budget, feas)
+    run = _Run(sm, cfg, sink, feas=feas)
     span = (run.tracer.span("function", f"{cfg.name} (naive)",
                             checker=sm.name)
             if run.tracer.enabled else None)
-    if budget is not None:
-        budget.start_clock()
     back = cfg.back_edges()
     paths_walked = 0
     initial_store = feas.initial_store() if feas is not None else None
@@ -569,8 +567,6 @@ def run_machine_naive(sm: StateMachine, cfg: Cfg, sink: ReportSink,
             if block is cfg.exit or not edges:
                 run.at_path_end(state)
                 paths_walked += 1
-                if budget is not None and not budget.charge_path():
-                    raise _OutOfBudget()
                 if paths_walked > max_paths:
                     raise ValueError(
                         f"{cfg.name}: more than {max_paths} paths")
@@ -583,14 +579,6 @@ def run_machine_naive(sm: StateMachine, cfg: Cfg, sink: ReportSink,
                 stack.append((edge.dst,
                               _edge_state(sm, block, state, edge),
                               next_store, opaque))
-    except _OutOfBudget:
-        sink.degraded = True
-        sink.degradation_notes.append(
-            f"[{sm.name}] {cfg.name}: naive enumeration stopped — "
-            f"{budget.note()}"
-        )
-        if span is not None:
-            span.status = "degraded"
     finally:
         sink.report_gate = previous_gate
         _flush_run(run, span, naive=True)
@@ -613,18 +601,12 @@ def check_unit(sm: StateMachine, unit: ast.TranslationUnit,
                sink: Optional[ReportSink] = None, *,
                budget: Optional[Budget] = None,
                keep_going: bool = False,
-               naive_fallback: bool = True,
                feasibility: Optional[bool] = None) -> ReportSink:
     """Run ``sm`` over every function in a translation unit.
 
     With ``keep_going``, a crash in one (checker, function) pair —
     whether in CFG construction or in the machine itself — quarantines
-    that pair and moves on; the remaining functions still report.  A
-    quarantined pair is retried once with the naive path-enumeration
-    engine (``naive_fallback``), whose different exploration order can
-    dodge state-cache-dependent crashes — unless the ``budget`` is
-    already exhausted, in which case retries are skipped: partial
-    results now beat complete results never.
+    that pair and moves on; the remaining functions still report.
     """
     sink = sink if sink is not None else ReportSink()
     for function in unit.functions():
@@ -638,24 +620,6 @@ def check_unit(sm: StateMachine, unit: ast.TranslationUnit,
                 error_type=type(exc).__name__, message=str(exc),
             ))
             continue
-        before = len(sink.quarantines)
         run_machine(sm, cfg, sink, budget=budget, isolate=keep_going,
                     feasibility=feasibility)
-        crashed = len(sink.quarantines) > before
-        if (crashed and naive_fallback
-                and not (budget is not None and budget.exhausted)):
-            quarantine = sink.quarantines[-1]
-            try:
-                run_machine_naive(sm, cfg, sink, budget=budget,
-                                  feasibility=feasibility)
-            except Exception:
-                # The fallback crashed too; the quarantine stands.
-                pass
-            else:
-                sink.drop_quarantine(quarantine)
-                sink.degradation_notes.append(
-                    f"[{sm.name}] {function.name}: cached engine crashed "
-                    f"({quarantine.error_type}); recovered via naive "
-                    f"enumeration (loops under-approximated)"
-                )
     return sink

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TypeVar
 
-import networkx as nx
-
 from ..cfg.callgraph import CallGraph, FlowGraph
 
 Summary = TypeVar("Summary")
@@ -36,19 +34,12 @@ def bottom_up(
     (see the lanes checker) and keep any report emission *outside* the
     memoized computation, since reports are per-run state.
     """
-    condensation = nx.condensation(callgraph.nx)
     summaries: dict[str, Summary] = {}
-    for scc_id in reversed(list(nx.topological_sort(condensation))):
-        members: set[str] = set(condensation.nodes[scc_id]["members"])
-        in_cycle = len(members) > 1 or any(
-            callgraph.nx.has_edge(m, m) for m in members
-        )
-        for name in sorted(members):
-            graph = callgraph.graphs.get(name)
-            if graph is None:
-                continue
-            peers = members if in_cycle else set()
-            summaries[name] = summarize(graph, summaries, peers)
+    for members in callgraph.sccs():
+        peers = set(members) if callgraph.in_cycle(members) else set()
+        for name in members:
+            summaries[name] = summarize(callgraph.graphs[name], summaries,
+                                        peers)
     return summaries
 
 

@@ -97,9 +97,8 @@ class WorkerConfig:
     keep_going: bool = False
     #: Absolute ``time.time()`` deadline shared by the whole run.
     deadline: Optional[float] = None
-    #: Per-item step/path caps (metal items; run-wide when serial).
+    #: Per-item step cap (metal items; run-wide when serial).
     budget_steps: Optional[int] = None
-    budget_paths: Optional[int] = None
     metal_text: Optional[str] = None
     metal_name: str = "<metal>"
     #: Worker-site fault rules (``worker_crash``/``worker_hang``/...)
@@ -203,10 +202,6 @@ def _metal_machine(config: WorkerConfig):
     return sm
 
 
-def _past_deadline(config: WorkerConfig) -> bool:
-    return config.deadline is not None and time.time() >= config.deadline
-
-
 def _item_label(item: WorkItem, config: WorkerConfig) -> str:
     if item.kind == "checker":
         return item.checker
@@ -231,10 +226,8 @@ def _skipped_payload(item: WorkItem, config: WorkerConfig,
         return {"schema": SCHEMA_VERSION, "shard": item.index,
                 "degraded": True, "outcomes": [],
                 "degradation_notes": [f"[{label}] {note}"]}
-    from ..checkers.base import CheckerResult
-    result = CheckerResult(checker=label, degraded=True)
-    result.degradation_notes.append(f"[{label}] {where}: {note}")
-    return result_to_payload(result)
+    from ..checkers.base import skipped_result
+    return result_to_payload(skipped_result(label, where, note))
 
 
 def _quarantine_payload(item: WorkItem, config: WorkerConfig,
@@ -285,55 +278,13 @@ def _input_quarantines(label: str, units) -> list[Quarantine]:
     return records
 
 
-def _run_checker_item(item: WorkItem, config: WorkerConfig) -> dict:
-    from ..checkers.base import CheckerResult, get_checker
-    from ..project import Program, read_sources
+def _run_checker_item(item: WorkItem, config: WorkerConfig,
+                      program) -> dict:
+    from ..checkers.base import get_checker, run_checker
 
     name = item.checker
-    if _past_deadline(config):
-        result = CheckerResult(checker=name, degraded=True)
-        result.degradation_notes.append(
-            f"[{name}] {', '.join(item.paths)}: not analysed — "
-            "run deadline exceeded")
-        return result_to_payload(result)
-    _maybe_worker_fault(item)
-    # A unit deleted between dispatch and execution must not kill the
-    # worker: it becomes a per-item input quarantine.  In strict mode,
-    # parse errors still propagate even under keep_going, exactly as
-    # the serial driver treats them: keep-going covers crashing
-    # *checkers*, not broken *inputs*.  In tolerant mode the parser is
-    # designed never to raise — this net exists so a frontend bug
-    # degrades to an input quarantine rather than a crashed run.
-    try:
-        files = read_sources(item.paths)
-    except SourceReadError as exc:
-        return _quarantine_payload(item, config, type(exc).__name__,
-                                   str(exc), phase="input")
-    try:
-        program = Program(files, info=_spec_info(config), unit_memo=True)
-    except SourceError as exc:
-        if config.frontend != "tolerant":
-            raise
-        return _quarantine_payload(item, config, type(exc).__name__,
-                                   str(exc), phase="input")
-    checker = get_checker(name)
-    try:
-        result = checker.check(program)
-    except Exception as exc:
-        # Pack checkers are sandboxed unconditionally: third-party code
-        # raising becomes Quarantine(phase="pack") on that pack's
-        # result, never a crashed worker or a failed fleet.  Builtins
-        # keep the opt-in keep_going contract.
-        from ..checkers.base import is_pack_checker
-        from_pack = is_pack_checker(name)
-        if not config.keep_going and not from_pack:
-            raise
-        result = CheckerResult(checker=name, degraded=True)
-        result.quarantines.append(Quarantine(
-            checker=name, function="*",
-            phase="pack" if from_pack else "checker",
-            error_type=type(exc).__name__, message=str(exc),
-        ))
+    result = run_checker(get_checker(name), program,
+                         keep_going=config.keep_going)
     for quarantine in _input_quarantines(name, program.units.values()):
         result.quarantines.append(quarantine)
         result.degraded = True
@@ -343,47 +294,22 @@ def _run_checker_item(item: WorkItem, config: WorkerConfig) -> dict:
     return result_to_payload(result)
 
 
-def _item_budget(config: WorkerConfig) -> Optional[Budget]:
-    remaining = None
+def _budget(config: WorkerConfig) -> Optional[Budget]:
+    """The step/time budget left for work starting now: one per item
+    under the pool, one shared by every item when serial."""
+    seconds = None
     if config.deadline is not None:
-        remaining = max(0.001, config.deadline - time.time())
-    if (config.budget_steps is None and config.budget_paths is None
-            and remaining is None):
+        seconds = max(0.001, config.deadline - time.time())
+    if config.budget_steps is None and seconds is None:
         return None
-    return Budget(max_steps=config.budget_steps,
-                  max_paths=config.budget_paths,
-                  max_seconds=remaining)
+    return Budget(max_steps=config.budget_steps, max_seconds=seconds)
 
 
-def _run_metal_item(item: WorkItem, config: WorkerConfig,
-                    shared_budget: Optional[Budget] = None) -> dict:
-    from ..project import read_sources
-
-    path = item.paths[0]
-    if _past_deadline(config):
-        sink = ReportSink()
-        sink.degraded = True
-        sink.degradation_notes.append(
-            f"[{config.metal_name}] {path}: not analysed — "
-            "run deadline exceeded")
-        return sink_to_payload(sink)
-    _maybe_worker_fault(item)
-    sm = _metal_machine(config)
-    try:
-        text = read_sources(item.paths)[path]
-    except SourceReadError as exc:
-        return _quarantine_payload(item, config, type(exc).__name__,
-                                   str(exc), phase="input")
-    try:
-        unit, _sema = parse_annotated(path, text)
-    except SourceError as exc:
-        if config.frontend != "tolerant":
-            raise
-        return _quarantine_payload(item, config, type(exc).__name__,
-                                   str(exc), phase="input")
-    budget = shared_budget if shared_budget is not None else _item_budget(config)
+def _run_metal_item(item: WorkItem, config: WorkerConfig, unit,
+                    budget: Optional[Budget]) -> dict:
     sink = ReportSink()
-    check_unit(sm, unit, sink, budget=budget, keep_going=config.keep_going)
+    check_unit(_metal_machine(config), unit, sink, budget=budget,
+               keep_going=config.keep_going)
     label = _item_label(item, config)
     for quarantine in _input_quarantines(label, [unit]):
         if sink.add_quarantine(quarantine):
@@ -395,12 +321,47 @@ def _run_metal_item(item: WorkItem, config: WorkerConfig,
 
 def _execute_item_plain(item: WorkItem, config: WorkerConfig,
                         shared_budget: Optional[Budget] = None) -> dict:
+    """Execute one work item of any kind.
+
+    The prologue every kind shares runs here once: an item starting
+    past the run deadline is skipped; worker-site faults fire; a unit
+    deleted between dispatch and execution becomes a per-item input
+    quarantine instead of killing the worker.  In strict mode, parse
+    errors still propagate even under keep_going: keep-going covers
+    crashing *checkers*, not broken *inputs*.  In tolerant mode the
+    parser is designed never to raise — this net exists so a frontend
+    bug degrades to an input quarantine rather than a crashed run.
+    """
+    from ..checkers.base import DEADLINE_NOTE, past_deadline
+    from ..project import Program, read_sources
+
+    if past_deadline(config.deadline):
+        return _skipped_payload(item, config, DEADLINE_NOTE)
+    _maybe_worker_fault(item)
+    try:
+        files = read_sources(item.paths)
+    except SourceReadError as exc:
+        return _quarantine_payload(item, config, type(exc).__name__,
+                                   str(exc), phase="input")
+    try:
+        if item.kind == "metal":
+            path = item.paths[0]
+            parsed, _sema = parse_annotated(path, files[path])
+        else:
+            parsed = Program(files, info=_spec_info(config), unit_memo=True)
+    except SourceError as exc:
+        if config.frontend != "tolerant":
+            raise
+        return _quarantine_payload(item, config, type(exc).__name__,
+                                   str(exc), phase="input")
     if item.kind == "metal":
-        return _run_metal_item(item, config, shared_budget)
+        budget = shared_budget if shared_budget is not None \
+            else _budget(config)
+        return _run_metal_item(item, config, parsed, budget)
     if item.kind == "campaign":
         from ..campaign.runner import run_campaign_item
-        return run_campaign_item(item, config)
-    return _run_checker_item(item, config)
+        return run_campaign_item(item, config, parsed)
+    return _run_checker_item(item, config, parsed)
 
 
 #: This process's trace file handle, one per (pid, trace run).  Keyed by
@@ -480,19 +441,6 @@ def _mp_context():
         return mp.get_context("fork")
     except ValueError:  # pragma: no cover - non-posix platforms
         return mp.get_context("spawn")
-
-
-def _shared_serial_budget(config: WorkerConfig) -> Optional[Budget]:
-    """Serial runs keep PR 1's semantics: one Budget across every item."""
-    seconds = None
-    if config.deadline is not None:
-        seconds = max(0.001, config.deadline - time.time())
-    if (config.budget_steps is None and config.budget_paths is None
-            and seconds is None):
-        return None
-    return Budget(max_steps=config.budget_steps,
-                  max_paths=config.budget_paths,
-                  max_seconds=seconds)
 
 
 def _run_items(items: list, config: WorkerConfig, jobs: int,
@@ -577,7 +525,7 @@ def _run_items(items: list, config: WorkerConfig, jobs: int,
         previous_mode = lang_parser.default_mode()
         previous_engine = summary.default_engine()
         _init_worker(config)
-        shared_budget = _shared_serial_budget(config)
+        shared_budget = _budget(config)
         try:
             for item in pending:
                 if item.index in payloads:
@@ -693,11 +641,10 @@ def merge_parts(checker: str, parts: list):
     return merged
 
 
-@dataclass
-class CheckRun:
-    """A full checker-fleet run: merged results plus run metadata."""
+@dataclass(kw_only=True)
+class FleetRun:
+    """Run metadata every fleet run carries, whatever its items were."""
 
-    results: dict                      # checker name -> CheckerResult
     jobs: int = 1
     stats: Optional[CacheStats] = None
     #: Journal identity of this run (``--resume`` takes it), if any.
@@ -711,13 +658,43 @@ class CheckRun:
                     and self.supervision.interrupted)
 
     def summary_line(self) -> str:
-        line = f"run: jobs={self.jobs}"
+        line = f"run: jobs={self.jobs}{self._scope()}"
         if self.stats is not None:
             line += f", {self.stats.line()}, {self.stats.stores} stored"
         if self.supervision is not None and self.supervision.noteworthy():
             from .report import format_run_stats
             line += f", {format_run_stats(self.supervision)}"
         return line
+
+    def _scope(self) -> str:
+        """Extra ``, key=value`` fields for :meth:`summary_line`."""
+        return ""
+
+
+def _config_fp(feasibility: bool, frontend: str, engine: str) -> str:
+    """The run settings folded into every checker/metal item's key."""
+    return (f"feasibility={'on' if feasibility else 'off'},"
+            f"frontend={frontend},engine={engine},schema={SCHEMA_VERSION}")
+
+
+def fleet_config_fields(policy: Optional[SupervisorPolicy],
+                        observation) -> dict:
+    """The :class:`WorkerConfig` fields a supervision policy and an
+    observation (both optional) set, for every kind of fleet run."""
+    fields = {"fault_plan": policy.fault_plan if policy is not None
+              else None}
+    if observation is not None:
+        fields.update(trace_dir=observation.worker_trace_dir,
+                      collect_obs=True,
+                      heartbeat_dir=observation.worker_heartbeat_dir)
+    return fields
+
+
+@dataclass
+class CheckRun(FleetRun):
+    """A full checker-fleet run: merged results plus run metadata."""
+
+    results: dict                      # checker name -> CheckerResult
 
 
 def check_files(paths: list, *, names: Optional[list] = None,
@@ -762,16 +739,11 @@ def check_files(paths: list, *, names: Optional[list] = None,
         spec_name=spec_path or "<spec>",
         keep_going=keep_going,
         deadline=deadline,
-        fault_plan=policy.fault_plan if policy is not None else None,
-        trace_dir=(observation.worker_trace_dir
-                   if observation is not None else None),
-        collect_obs=observation is not None,
-        heartbeat_dir=(observation.worker_heartbeat_dir
-                       if observation is not None else None),
         feasibility=feasibility,
         frontend=frontend,
         engine=engine,
         pack_dirs=tuple(str(d) for d in pack_dirs),
+        **fleet_config_fields(policy, observation),
     )
 
     items: list[WorkItem] = []
@@ -797,6 +769,7 @@ def check_files(paths: list, *, names: Optional[list] = None,
         engine_fp = engine_fingerprint()
         digests = {p: source_fingerprint(t) for p, t in sources.items()}
         spec_fp = source_fingerprint(spec_text) if spec_text else ""
+        config_fp = _config_fp(feasibility, frontend, engine)
         for item in items:
             checker_fp = checker_fingerprint(item.checker)
             if checker_fp is None:
@@ -804,10 +777,7 @@ def check_files(paths: list, *, names: Optional[list] = None,
             keys[item.index] = work_item_key(
                 checker_fp=checker_fp,
                 units=[(p, digests[p]) for p in item.paths],
-                spec_fp=spec_fp, engine_fp=engine_fp,
-                config_fp=(f"feasibility={'on' if feasibility else 'off'},"
-                           f"frontend={frontend},engine={engine},"
-                           f"schema={SCHEMA_VERSION}"),
+                spec_fp=spec_fp, engine_fp=engine_fp, config_fp=config_fp,
             )
 
     payloads, _, run_stats = _run_items(items, config, jobs, cache, keys,
@@ -825,41 +795,20 @@ def check_files(paths: list, *, names: Optional[list] = None,
 
 
 @dataclass
-class MetalRun:
+class MetalRun(FleetRun):
     """A textual-metal run over many files."""
 
     sm_name: str
     sinks: list                        # [(path, ReportSink)] in input order
-    jobs: int = 1
-    stats: Optional[CacheStats] = None
     #: The shared serial budget, when one was used (its ``note()``
     #: explains a DEGRADED footer the way PR 1's CLI did).
     budget: Optional[Budget] = None
-    #: Journal identity of this run (``--resume`` takes it), if any.
-    run_id: Optional[str] = None
-    #: Supervision accounting: retries, crashes, replays, interruption.
-    supervision: Optional[RunStats] = None
-
-    @property
-    def interrupted(self) -> bool:
-        return bool(self.supervision is not None
-                    and self.supervision.interrupted)
-
-    def summary_line(self) -> str:
-        line = f"run: jobs={self.jobs}"
-        if self.stats is not None:
-            line += f", {self.stats.line()}, {self.stats.stores} stored"
-        if self.supervision is not None and self.supervision.noteworthy():
-            from .report import format_run_stats
-            line += f", {format_run_stats(self.supervision)}"
-        return line
 
 
 def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
                 cache: Optional[ResultCache] = None,
                 keep_going: bool = False,
                 budget_steps: Optional[int] = None,
-                budget_paths: Optional[int] = None,
                 budget_seconds: Optional[float] = None,
                 journal: Optional[RunJournal] = None,
                 policy: Optional[SupervisorPolicy] = None,
@@ -868,12 +817,12 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
                 engine: str = "summary") -> MetalRun:
     """Run one textual metal checker over files as parallel work items.
 
-    Step/path budgets apply per work item when ``jobs > 1`` (each worker
-    explores independently) but stay shared across every file when
+    The step budget applies per work item when ``jobs > 1`` (each worker
+    explores independently) but stays shared across every file when
     serial, preserving the original semantics; the wall-clock budget is
     a single run-wide deadline either way.  Budgeted runs bypass the
     cache — their results depend on the limits, not just on content —
-    and for the same reason a serial step/path-budgeted run disables the
+    and for the same reason a serial step-budgeted run disables the
     journal: replaying some items against a journal would hand the live
     items a budget the original run never gave them.
     """
@@ -883,29 +832,21 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
     metal_text = Path(metal_path).read_text()
     sm = parse_metal(metal_text, filename=metal_path)  # validate up front
 
-    budgeted = (budget_steps is not None or budget_paths is not None
-                or budget_seconds is not None)
-    if budgeted:
+    if budget_steps is not None or budget_seconds is not None:
         cache = None
-    if (jobs <= 1 and (budget_steps is not None
-                       or budget_paths is not None)):
+    if jobs <= 1 and budget_steps is not None:
         journal = None
     deadline = (time.time() + budget_seconds
                 if budget_seconds is not None else None)
 
     config = WorkerConfig(
         keep_going=keep_going, deadline=deadline,
-        budget_steps=budget_steps, budget_paths=budget_paths,
+        budget_steps=budget_steps,
         metal_text=metal_text, metal_name=metal_path,
-        fault_plan=policy.fault_plan if policy is not None else None,
-        trace_dir=(observation.worker_trace_dir
-                   if observation is not None else None),
-        collect_obs=observation is not None,
-        heartbeat_dir=(observation.worker_heartbeat_dir
-                       if observation is not None else None),
         feasibility=feasibility,
         frontend=frontend,
         engine=engine,
+        **fleet_config_fields(policy, observation),
     )
 
     ordered_paths = list(dict.fromkeys(paths))
@@ -920,14 +861,12 @@ def metal_files(metal_path: str, paths: list, *, jobs: int = 1,
     if cache is not None or journal is not None:
         engine_fp = engine_fingerprint()
         metal_fp = metal_fingerprint(metal_text)
+        config_fp = _config_fp(feasibility, frontend, engine)
         for item in items:
             keys[item.index] = work_item_key(
                 checker_fp=metal_fp,
                 units=[(item.paths[0], source_fingerprint(sources[item.paths[0]]))],
-                engine_fp=engine_fp,
-                config_fp=(f"feasibility={'on' if feasibility else 'off'},"
-                           f"frontend={frontend},engine={engine},"
-                           f"schema={SCHEMA_VERSION}"),
+                engine_fp=engine_fp, config_fp=config_fp,
             )
 
     payloads, shared_budget, run_stats = _run_items(

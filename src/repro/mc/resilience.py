@@ -11,7 +11,7 @@ prototype can ignore:
   posture, arXiv:2112.08010).
 - **a pathological input**: a function whose path space blows past what
   the state cache can tame must not hang the run.  A :class:`Budget`
-  bounds machine steps, enumerated paths, and wall time; when it runs
+  bounds machine steps and wall time; when it runs
   out the engine stops *that* exploration, keeps everything found so
   far, and marks the result ``degraded`` (bounded exploration in the
   Abe et al. sense, arXiv:1608.05893).
@@ -42,10 +42,8 @@ class Budget:
     """
 
     max_steps: Optional[int] = None
-    max_paths: Optional[int] = None
     max_seconds: Optional[float] = None
     steps: int = 0
-    paths: int = 0
     exhausted_by: Optional[str] = None
     _deadline: Optional[float] = field(default=None, repr=False)
 
@@ -73,28 +71,13 @@ class Budget:
             return False
         return True
 
-    def charge_path(self) -> bool:
-        """Account one completed path; False when the budget is spent."""
-        if self.exhausted_by is not None:
-            return False
-        self.paths += 1
-        if self.max_paths is not None and self.paths > self.max_paths:
-            self.exhausted_by = "paths"
-            return False
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            self.exhausted_by = "time"
-            return False
-        return True
-
     def note(self) -> str:
         limit = {
             "steps": self.max_steps,
-            "paths": self.max_paths,
             "time": self.max_seconds,
         }.get(self.exhausted_by or "")
         return (f"budget exhausted by {self.exhausted_by} "
-                f"(limit {limit}, charged {self.steps} steps / "
-                f"{self.paths} paths)")
+                f"(limit {limit}, charged {self.steps} steps)")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Flow-graph emission, serialization, and call-graph linking."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.cfg import (
@@ -10,6 +13,7 @@ from repro.cfg import (
     load_flowgraph,
     write_flowgraph,
 )
+from repro.cfg.callgraph import FlowNode
 from repro.lang import ast
 from repro.lang.parser import parse
 
@@ -117,3 +121,37 @@ class TestCallGraphQueries:
         # links defined functions.
         cg = make_callgraph()
         assert cg.callees("leaf") == set()
+
+    def test_sccs_callees_first_and_sorted(self):
+        cg = make_callgraph()
+        sccs = cg.sccs()
+        assert sorted(name for members in sccs for name in members) == \
+            sorted(cg.graphs)
+        assert ["mutual_a", "mutual_b"] in sccs
+        position = {name: i for i, members in enumerate(sccs)
+                    for name in members}
+        for caller, callees in cg.edges.items():
+            for callee in callees:
+                assert position[callee] <= position[caller]
+
+    def test_sccs_survive_call_chains_deeper_than_the_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 100
+        cg = CallGraph(
+            FlowGraph(function=f"f{i}", filename="chain.c", entry=0, exit=0,
+                      nodes={0: FlowNode(index=0, calls=[f"f{i + 1}"])})
+            for i in range(depth))
+        sccs = cg.sccs()
+        assert sccs[0] == [f"f{depth - 1}"] and sccs[-1] == ["f0"]
+        assert cg.recursive_functions() == set()
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # The package has no third-party runtime dependencies.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,4 @@
-"""Engine graceful degradation: crash isolation, budgets, fallback.
+"""Engine graceful degradation: crash isolation and budgets.
 
 The acceptance behaviour for the robustness work: a checker whose
 action raises mid-path costs only its own (checker, function) pair —
@@ -6,9 +6,18 @@ everything else still reports — and a budget turns "hangs forever" into
 "partial results, marked degraded".
 """
 
+import time
+
 import pytest
 
-from repro.checkers.base import Checker, CheckerResult, run_all
+from repro.checkers.base import (
+    Checker,
+    CheckerOrigin,
+    CheckerResult,
+    register_pack_checker,
+    run_all,
+    unregister_pack_checker,
+)
 from repro.lang import annotate
 from repro.lang.parser import parse
 from repro.metal.runtime import ReportSink
@@ -22,10 +31,11 @@ from repro.mc import (
     is_call_to,
     quarantining,
     run_machine,
-    run_machine_naive,
 )
+from repro.mc.resilience import _TIME_CHECK_INTERVAL
 from repro.cfg import build_cfg
-from repro.project import program_from_source
+from repro.mc.parallel import check_files
+from repro.project import Program, program_from_source, read_sources
 
 
 def build_unit(src):
@@ -107,11 +117,9 @@ class TestCrashIsolation:
         assert "quarantined [crashy] bad" in text
         assert "DEGRADED" in text
 
-
-class TestNaiveFallback:
-    def test_cache_only_crash_recovers_via_naive(self):
-        # A crash that depends on the cached engine's exploration:
-        # fail the first call only — the naive retry then succeeds.
+    def test_first_call_crash_stays_quarantined(self):
+        # An action that fails only on its first call: nothing re-runs
+        # the pair, so it stays quarantined and reports nothing.
         unit = build_unit("void once(void) { use(1); }")
         calls = {"n": 0}
 
@@ -127,12 +135,16 @@ class TestNaiveFallback:
         sm.add_rule("start", "use(x)", action=action)
 
         sink = check_unit(sm, unit, keep_going=True)
-        assert sink.quarantines == []       # recovered
-        assert len(sink.reports) == 1
-        assert sink.degraded                # but honest about the retry
-        assert any("recovered" in n for n in sink.degradation_notes)
+        assert [(q.function, q.phase) for q in sink.quarantines] == [
+            ("once", "path-walk")]
+        assert calls["n"] == 1
+        assert sink.reports == []
+        assert sink.degraded
+        assert not any("recovered" in n for n in sink.degradation_notes)
 
-    def test_fallback_disabled_when_budget_exhausted(self):
+
+class TestBudgets:
+    def test_exhausted_budget_under_keep_going(self):
         unit = build_unit("void bad(void) { use(1); }\n"
                           "void bad2(void) { use(2); }")
         budget = Budget(max_steps=1)
@@ -140,10 +152,9 @@ class TestNaiveFallback:
                           keep_going=True, budget=budget)
         # Budget died before any crash; no quarantines, but degraded.
         assert budget.exhausted
+        assert sink.quarantines == []
         assert sink.degraded
 
-
-class TestBudgets:
     def test_step_budget_stops_exploration(self):
         unit = build_unit(SRC)
         budget = Budget(max_steps=3)
@@ -159,25 +170,17 @@ class TestBudgets:
         assert len(plain) == len(budgeted) == 2
         assert not budgeted.degraded
 
-    def test_path_budget_caps_naive_engine(self):
-        unit = build_unit("""
-            void f(void) {
-                if (a) { x(); } if (b) { x(); } if (c) { x(); }
-                use(1);
-            }
-        """)
-        sink = ReportSink()
-        budget = Budget(max_paths=2)
-        run_machine_naive(reporting_machine(), build_cfg(unit.function("f")),
-                          sink, budget=budget)
-        assert budget.exhausted_by == "paths"
-        assert sink.degraded
-
     def test_time_budget(self):
+        # The clock is read once every _TIME_CHECK_INTERVAL steps.
         budget = Budget(max_seconds=0.0)
         budget.start_clock()
-        assert budget.charge_path() is False
+        assert all(budget.charge_step()
+                   for _ in range(_TIME_CHECK_INTERVAL - 1))
+        assert budget.charge_step() is False
         assert budget.exhausted_by == "time"
+        assert budget.note() == (
+            f"budget exhausted by time (limit 0.0, charged "
+            f"{_TIME_CHECK_INTERVAL} steps)")
 
     def test_budget_is_shared_across_units(self):
         unit = build_unit(SRC)
@@ -245,3 +248,57 @@ void h(void) {
         others = [r for name, r in results.items() if name != "boom"]
         assert all(not r.quarantines for r in others)
         assert any(r.reports for r in others)
+
+
+def _degradation(results):
+    """Everything a result records about work that did not complete."""
+    return {
+        name: (result.degraded,
+               [(q.checker, q.function, q.phase, q.error_type, q.message)
+                for q in result.quarantines],
+               result.degradation_notes)
+        for name, result in results.items()
+    }
+
+
+@pytest.mark.parametrize("case", ["builtin-keep-going", "pack", "deadline"])
+def test_one_crash_policy_across_drivers(case, tmp_path, monkeypatch):
+    # run_all and the fleet's checker items share one crash policy:
+    # a raising builtin under keep_going, a raising pack checker without
+    # it, and a passed deadline give the same records from every driver.
+    from repro.checkers import base as checkers_base
+    source = tmp_path / "h.c"
+    source.write_text("void h(void) { SUBROUTINE_PROLOGUE(); return; }\n")
+    path = str(source)
+    if case == "pack":
+        register_pack_checker(_BoomChecker, CheckerOrigin("boom", "1.0"))
+    else:
+        monkeypatch.setitem(checkers_base._REGISTRY, "boom", _BoomChecker)
+    keep_going = case == "builtin-keep-going"
+    deadline = time.time() - 1 if case == "deadline" else None
+    names = ["boom", "buffer-race"]
+    try:
+        serial = run_all(Program(read_sources([path])), names,
+                         keep_going=keep_going, deadline=deadline)
+        fleets = [check_files([path], names=names, jobs=jobs,
+                              keep_going=keep_going, deadline=deadline)
+                  for jobs in (1, 2)]
+    finally:
+        unregister_pack_checker("boom")
+    expected = _degradation(serial)
+    for run in fleets:
+        assert _degradation(run.results) == expected
+    degraded, quarantines, notes = expected["boom"]
+    assert degraded
+    if case == "deadline":
+        assert quarantines == []
+        assert notes == [f"[boom] {path}: not analysed — run deadline "
+                         f"exceeded"]
+        assert expected["buffer-race"][2] == [
+            f"[buffer-race] {path}: not analysed — run deadline exceeded"]
+    else:
+        phase = "pack" if case == "pack" else "checker"
+        assert quarantines == [("boom", "*", phase, "RuntimeError",
+                                "deliberately broken checker")]
+        assert notes == []
+        assert expected["buffer-race"] == (False, [], [])

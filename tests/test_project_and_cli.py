@@ -90,10 +90,22 @@ class TestProgram:
 
 
 class TestCli:
-    def test_list(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "buffer-race" in out and "220" in out
+    def test_checkers_lists_metal_loc(self, capsys):
+        assert main(["checkers"]) == 0
+        rows = {line.split()[0]: line.split()[-1]
+                for line in capsys.readouterr().out.splitlines()[1:]
+                if line.strip()}
+        assert rows["buffer-race"] == "12"
+        assert rows["lanes"] == "220"
+
+    @pytest.mark.parametrize("argv", [
+        ["list"],
+        ["metal", "x.metal", "x.c", "--budget-paths", "1"],
+    ])
+    def test_removed_commands_and_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_check_clean_file(self, tmp_path, capsys):
         f = tmp_path / "clean.c"

@@ -214,14 +214,14 @@ class TestInputQuarantine:
         # the worker-side read (the inline path uses the same code).
         import repro.mc.parallel as parallel_mod
 
-        real = parallel_mod._run_checker_item
+        real = parallel_mod._execute_item_plain
 
-        def sabotage(item, config):
+        def sabotage(item, config, shared_budget=None):
             if item.paths == (two_files[1],):
                 os.unlink(two_files[1])
-            return real(item, config)
+            return real(item, config, shared_budget)
 
-        monkeypatch.setattr(parallel_mod, "_run_checker_item", sabotage)
+        monkeypatch.setattr(parallel_mod, "_execute_item_plain", sabotage)
         run = check_files(two_files, jobs=1, names=["buffer-race"])
         result = run.results["buffer-race"]
         assert result.quarantines
