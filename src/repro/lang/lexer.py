@@ -6,14 +6,16 @@ styles.  FLASH macros (``WAIT_FOR_DB_FULL`` and friends) arrive here as
 ordinary identifiers — exactly how xg++ saw them after preprocessing.
 
 In **tolerant** mode (``Lexer(source, tolerant=True)``) the lexer never
-raises: byte sequences it cannot tokenize become ``UNKNOWN`` tokens and
-unterminated literals/comments are closed at end of line or end of file,
-so the recovering parser (:mod:`repro.lang.parser`) always receives a
-complete token stream for arbitrary input.
+raises: byte sequences it cannot tokenize become ``UNKNOWN`` tokens,
+unterminated string and character literals are closed at end of line,
+and an unterminated block comment at end of file, so the recovering
+parser (:mod:`repro.lang.parser`) always receives a complete token
+stream for arbitrary input.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -52,10 +54,70 @@ PUNCTUATION = (
     "+", "-", "*", "/", "%", "<", ">", "=", "&", "^", "|", "!", "~",
 )
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-_HEX_DIGITS = _DIGITS | frozenset("abcdefABCDEF")
+_PUNCT_RE = "|".join(re.escape(p) for p in PUNCTUATION)
+
+# Characters that can start a token, whitespace or a directive.  A run of
+# anything else is one UNKNOWN token (tolerant) or a LexError (strict).
+# The classes are spelled out in ASCII: ``\d``/``\s``/``\w`` would also
+# match Unicode digits and spaces, which C does not accept.
+_CLASSIFIABLE = r"""\ \t\r\n\f\v#A-Za-z_0-9"'.<>\-+=!&|*/%^{}()\[\];,?:~"""
+
+# After any blanks that do not end a line, one alternative per lexical
+# category, tried in order.  Every character other than those blanks
+# starts some alternative, and no alternative matches the empty string, so
+# consecutive matches tile the input (trailing blanks aside).  Each match
+# has exactly one named group set, and ``lastindex`` says which.
+# ``#include`` consumes only its filename, so the metal preamble
+# ``{ #include "flash-includes.h" }`` keeps its closing brace; any other
+# directive runs to end of line, through backslash-newline continuations.
+_MASTER = re.compile(rf"""
+  [ \t\r\f\v]*
+  (?:
+    (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<newline>\n[ \t\r\n\f\v]*)
+  | (?P<line_comment>//[^\n]*)
+  | (?P<block_comment>/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
+  | (?P<open_comment>/\*)
+  | (?P<hex>0[xX][0-9a-fA-F]*[uUlLfF]*)
+  | (?P<number>(?:[0-9]+(?:\.(?!\.)[0-9]*)?|\.[0-9]+)
+               (?:[eE][+-]?[0-9]+)?[uUlLfF]*)
+  | (?P<punct>{_PUNCT_RE})
+  | (?P<include>\#[ \t]*include(?![A-Za-z0-9_])[ \t]*(?:"[^"]*"?|<[^>]*>?)?)
+  | (?P<directive>\#[^\\\n]*(?:\\\n?[^\\\n]*)*)
+  | (?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
+  | (?P<char>'[^'\\\n]*(?:\\.[^'\\\n]*)*')
+  | (?P<open_string>"[^"\\\n]*(?:\\.[^"\\\n]*)*\\?)
+  | (?P<open_char>'[^'\\\n]*(?:\\.[^'\\\n]*)*\\?)
+  | (?P<unknown>[^{_CLASSIFIABLE}]+)
+  )
+""", re.VERBOSE | re.DOTALL)
+
+_GROUP = _MASTER.groupindex
+_IDENT, _PUNCT, _NUMBER, _HEX = (
+    _GROUP[name] for name in ("ident", "punct", "number", "hex"))
+_STRING, _CHAR, _UNKNOWN, _OPEN_COMMENT = (
+    _GROUP[name] for name in ("string", "char", "unknown", "open_comment"))
+
+#: Matches that produce no token; all but ``line_comment`` may span lines.
+_SKIPPED = frozenset(
+    _GROUP[name] for name in ("newline", "line_comment", "block_comment",
+                              "include", "directive"))
+
+#: Token matches that may hold a backslash-newline escape.
+_LITERALS = frozenset(
+    _GROUP[name] for name in ("string", "char", "open_string", "open_char"))
+
+_UNTERMINATED = {
+    _GROUP["open_string"]: (TokenKind.STRING_LIT, '"',
+                            "unterminated string literal"),
+    _GROUP["open_char"]: (TokenKind.CHAR_LIT, "'",
+                          "unterminated character literal"),
+}
+
+# A decimal number is a float if it has a fraction, an exponent or an
+# ``f`` suffix; a hex number only by its suffix.
+_FLOAT_MARKS = frozenset(".eEfF")
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
 @dataclass(frozen=True)
@@ -79,209 +141,81 @@ class Token:
 
 
 class Lexer:
-    """Single-pass tokenizer over a :class:`SourceFile`."""
+    """Tokenizer over a :class:`SourceFile`, driven by one master regex.
+
+    Lines and columns are tracked as the scan passes newlines, so a
+    token's :class:`Location` costs no lookup.
+    """
 
     def __init__(self, source: SourceFile, tolerant: bool = False):
         self.source = source
         self.text = source.text
-        self.pos = 0
         self.tolerant = tolerant
 
     def tokenize(self) -> list[Token]:
         """Tokenize the whole file, appending a single EOF token."""
+        text, name = self.text, self.source.name
         tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.text):
-                tokens.append(Token(TokenKind.EOF, "", self._loc(self.pos)))
-                return tokens
-            tokens.append(self._next_token())
-
-    # -- internals ---------------------------------------------------------
-
-    def _loc(self, offset: int) -> Location:
-        return self.source.location(min(offset, len(self.text)))
-
-    def _skip_whitespace_and_comments(self) -> None:
-        text, n = self.text, len(self.text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch in " \t\r\n\f\v":
-                self.pos += 1
-            elif ch == "#":
-                self._skip_directive()
-            elif text.startswith("//", self.pos):
-                while self.pos < n and text[self.pos] != "\n":
-                    self.pos += 1
-            elif text.startswith("/*", self.pos):
-                end = text.find("*/", self.pos + 2)
-                if end == -1:
-                    if self.tolerant:
-                        # Close the comment at EOF; the rest of the file
-                        # is comment-like anyway.
-                        self.pos = n
-                        return
-                    raise LexError("unterminated block comment", self._loc(self.pos))
-                self.pos = end + 2
-            else:
-                return
-
-    def _skip_directive(self) -> None:
-        """Skip a preprocessor directive.
-
-        ``#include`` consumes only its filename (so the metal preamble
-        ``{ #include "flash-includes.h" }`` keeps its closing brace);
-        every other directive is skipped to end of line, honouring
-        backslash continuations.
-        """
-        text, n = self.text, len(self.text)
-        self.pos += 1  # '#'
-        while self.pos < n and text[self.pos] in " \t":
-            self.pos += 1
-        start = self.pos
-        while self.pos < n and text[self.pos] in _IDENT_CONT:
-            self.pos += 1
-        directive = text[start:self.pos]
-        if directive == "include":
-            while self.pos < n and text[self.pos] in " \t":
-                self.pos += 1
-            if self.pos < n and text[self.pos] == '"':
-                end = text.find('"', self.pos + 1)
-                self.pos = n if end == -1 else end + 1
-            elif self.pos < n and text[self.pos] == "<":
-                end = text.find(">", self.pos + 1)
-                self.pos = n if end == -1 else end + 1
-            return
-        while self.pos < n and text[self.pos] != "\n":
-            if text[self.pos] == "\\" and self.pos + 1 < n and text[self.pos + 1] == "\n":
-                self.pos += 1
-            self.pos += 1
-
-    def _next_token(self) -> Token:
-        ch = self.text[self.pos]
-        if ch in _IDENT_START:
-            return self._lex_ident()
-        if ch in _DIGITS or (ch == "." and self._peek(1) in _DIGITS):
-            return self._lex_number()
-        if ch == '"':
-            return self._lex_string()
-        if ch == "'":
-            return self._lex_char()
-        return self._lex_punct()
-
-    def _peek(self, ahead: int) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
-
-    def _lex_ident(self) -> Token:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CONT:
-            self.pos += 1
-        text = self.text[start:self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, self._loc(start))
-
-    def _lex_number(self) -> Token:
-        start = self.pos
-        text = self.text
-        is_float = False
-        if text.startswith(("0x", "0X"), self.pos):
-            self.pos += 2
-            while self.pos < len(text) and text[self.pos] in _HEX_DIGITS:
-                self.pos += 1
-        else:
-            while self.pos < len(text) and text[self.pos] in _DIGITS:
-                self.pos += 1
-            if self.pos < len(text) and text[self.pos] == "." and self._peek(1) != ".":
-                is_float = True
-                self.pos += 1
-                while self.pos < len(text) and text[self.pos] in _DIGITS:
-                    self.pos += 1
-            if self.pos < len(text) and text[self.pos] in "eE":
-                nxt = self._peek(1)
-                if nxt in _DIGITS or (nxt in "+-" and self._peek(2) in _DIGITS):
-                    is_float = True
-                    self.pos += 1
-                    if text[self.pos] in "+-":
-                        self.pos += 1
-                    while self.pos < len(text) and text[self.pos] in _DIGITS:
-                        self.pos += 1
-        # Suffixes: u/U/l/L for ints, f/F/l/L for floats.
-        while self.pos < len(text) and text[self.pos] in "uUlLfF":
-            if text[self.pos] in "fF":
-                is_float = True
-            self.pos += 1
-        kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-        return Token(kind, text[start:self.pos], self._loc(start))
-
-    def _lex_string(self) -> Token:
-        start = self.pos
-        self.pos += 1
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "\\":
-                self.pos += 2
+        append = tokens.append
+        line, line_start = 1, 0
+        for match in _MASTER.finditer(text):
+            group = match.lastindex
+            start, end = match.span(group)
+            spelling = text[start:end]
+            if group in _SKIPPED:
+                newline = spelling.rfind("\n")
+                if newline >= 0:
+                    line += spelling.count("\n")
+                    line_start = start + newline + 1
                 continue
-            if ch == '"':
-                self.pos += 1
-                return Token(TokenKind.STRING_LIT, text[start:self.pos], self._loc(start))
-            if ch == "\n":
+            location = Location(name, line, start - line_start + 1)
+            if group == _IDENT:
+                kind = TokenKind.KEYWORD if spelling in KEYWORDS \
+                    else TokenKind.IDENT
+            elif group == _PUNCT:
+                kind = TokenKind.PUNCT
+            elif group == _NUMBER:
+                kind = TokenKind.FLOAT_LIT \
+                    if _FLOAT_MARKS.intersection(spelling) \
+                    else TokenKind.INT_LIT
+            elif group == _HEX:
+                suffix = spelling[2:].lstrip(_HEX_DIGITS)
+                kind = TokenKind.FLOAT_LIT \
+                    if _FLOAT_MARKS.intersection(suffix) \
+                    else TokenKind.INT_LIT
+            elif group == _STRING:
+                kind = TokenKind.STRING_LIT
+            elif group == _CHAR:
+                kind = TokenKind.CHAR_LIT
+            elif group == _UNKNOWN:
+                if not self.tolerant:
+                    raise LexError(f"unexpected character {spelling[0]!r}",
+                                   location)
+                kind = TokenKind.UNKNOWN
+            elif group == _OPEN_COMMENT:
+                if not self.tolerant:
+                    raise LexError("unterminated block comment", location)
+                # The comment runs to end of input, which is comment-like
+                # anyway.
+                newline = text.rfind("\n", start)
+                if newline >= 0:
+                    line += text.count("\n", start)
+                    line_start = newline + 1
                 break
-            self.pos += 1
-        if self.tolerant:
-            # Close the literal at end of line / end of file.
-            return Token(TokenKind.STRING_LIT,
-                         self.text[start:self.pos] + '"', self._loc(start))
-        raise LexError("unterminated string literal", self._loc(start))
-
-    def _lex_char(self) -> Token:
-        start = self.pos
-        self.pos += 1
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "\\":
-                self.pos += 2
-                continue
-            if ch == "'":
-                self.pos += 1
-                return Token(TokenKind.CHAR_LIT, text[start:self.pos], self._loc(start))
-            if ch == "\n":
-                break
-            self.pos += 1
-        if self.tolerant:
-            return Token(TokenKind.CHAR_LIT,
-                         self.text[start:self.pos] + "'", self._loc(start))
-        raise LexError("unterminated character literal", self._loc(start))
-
-    def _lex_punct(self) -> Token:
-        for punct in PUNCTUATION:
-            if self.text.startswith(punct, self.pos):
-                tok = Token(TokenKind.PUNCT, punct, self._loc(self.pos))
-                self.pos += len(punct)
-                return tok
-        if self.tolerant:
-            # Group a maximal run of unclassifiable bytes into a single
-            # UNKNOWN token, so byte soup does not produce one token per
-            # byte.
-            start = self.pos
-            while (self.pos < len(self.text)
-                   and not self._classifiable(self.text[self.pos])):
-                self.pos += 1
-            return Token(TokenKind.UNKNOWN, self.text[start:self.pos],
-                         self._loc(start))
-        raise LexError(
-            f"unexpected character {self.text[self.pos]!r}", self._loc(self.pos)
-        )
-
-    def _classifiable(self, ch: str) -> bool:
-        """Could ``ch`` start an ordinary token (or whitespace)?"""
-        if ch in " \t\r\n\f\v#":
-            return True
-        if ch in _IDENT_START or ch in _DIGITS or ch in "\"'.":
-            return True
-        return any(p.startswith(ch) for p in PUNCTUATION)
+            else:  # an unterminated literal: closed at end of line or input
+                kind, quote, message = _UNTERMINATED[group]
+                if not self.tolerant:
+                    raise LexError(message, location)
+                spelling += quote
+            append(Token(kind, spelling, location))
+            if group in _LITERALS:
+                newline = spelling.rfind("\n")
+                if newline >= 0:
+                    line += spelling.count("\n")
+                    line_start = start + newline + 1
+        append(Token(TokenKind.EOF, "",
+                     Location(name, line, len(text) - line_start + 1)))
+        return tokens
 
 
 def tokenize(text: str, filename: str = "<input>",

@@ -60,6 +60,10 @@ _BINOP_LEVELS = (
     ("*", "/", "%"),
 )
 
+#: Each binary operator's precedence: its index in ``_BINOP_LEVELS``.
+_BINOP_PRECEDENCE = {op: level for level, ops in enumerate(_BINOP_LEVELS)
+                     for op in ops}
+
 _UNARY_OPS = frozenset("+ - ! ~ * & ++ --".split())
 
 #: Valid values for the frontend ``mode`` flag (``--frontend``).
@@ -680,7 +684,7 @@ class Parser:
         return left
 
     def parse_conditional(self) -> ast.Expr:
-        cond = self._parse_binary(0)
+        cond = self._parse_binary()
         if self.accept_punct("?"):
             then = self.parse_expr()
             self.expect_punct(":")
@@ -689,16 +693,25 @@ class Parser:
                                location=cond.location)
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINOP_LEVELS):
-            return self._parse_unary()
-        ops = _BINOP_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self.tok.kind is TokenKind.PUNCT and self.tok.text in ops:
-            op = self.advance().text
-            right = self._parse_binary(level + 1)
-            left = ast.BinaryOp(op=op, left=left, right=right, location=left.location)
-        return left
+    def _parse_binary(self, min_precedence: int = 0) -> ast.Expr:
+        """Precedence climbing: one call per operand, left-associative.
+
+        Folds operators binding at least as tightly as
+        ``min_precedence``; a right operand takes only operators that
+        bind tighter than its own.
+        """
+        left = self._parse_unary()
+        while True:
+            tok = self.tok
+            if tok.kind is not TokenKind.PUNCT:
+                return left
+            precedence = _BINOP_PRECEDENCE.get(tok.text, -1)
+            if precedence < min_precedence:
+                return left
+            self.advance()
+            right = self._parse_binary(precedence + 1)
+            left = ast.BinaryOp(op=tok.text, left=left, right=right,
+                                location=left.location)
 
     def _parse_unary(self) -> ast.Expr:
         tok = self.tok

@@ -5,6 +5,8 @@ clean, **1** the protocol has bugs, **2** the *tool* failed (internal
 error or quarantined checker) — so CI can tell the two apart.
 """
 
+import gc
+import json
 import os
 import subprocess
 import sys
@@ -323,3 +325,132 @@ class TestCampaignExitCodes:
         assert plain.read_bytes() == observed.read_bytes()
         snapshot = __import__("json").loads(metrics.read_text())
         assert snapshot["counters"]["campaign.runs"] == 3
+
+
+# -- the hard exit of ``python -m repro.cli`` --------------------------------
+#
+# ``repro.cli.entry`` flushes stdout/stderr and leaves with ``os._exit``,
+# skipping interpreter teardown.  These pin what that must not lose.
+
+def _float_heavy_c(tmp_path, lines=3000):
+    """A float use on every line: a multi-megabyte JSON report."""
+    body = "\n".join(["    f = 1.5;"] * lines)
+    path = tmp_path / "floats.c"
+    path.write_text(f"void floats(void) {{\n    float f;\n{body}\n}}\n")
+    return str(path)
+
+
+@pytest.fixture
+def broken_c(tmp_path):
+    path = tmp_path / "broken.c"
+    path.write_text('void broken( { "unterminated\n')
+    return str(path)
+
+
+class TestHardExit:
+    @pytest.fixture(autouse=True)
+    def buffered_stdout(self, monkeypatch):
+        # Output that sits in a buffer at exit is what a hard exit loses.
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+
+    @pytest.mark.parametrize("fixture,code", [
+        ("clean_c", 0), ("racy_c", 1), ("broken_c", 2)])
+    def test_exit_code_survives(self, request, fixture, code):
+        path = request.getfixturevalue(fixture)
+        proc = run_cli("check", path, "--no-cache", "--format", "json")
+        assert proc.returncode == code, proc.stderr
+        if code < 2:  # a short report, all of it in the stdout buffer
+            assert bool(json.loads(proc.stdout)["reports"]) == bool(code)
+
+    def test_multi_megabyte_json_arrives_complete(self, tmp_path):
+        proc = run_cli("check", _float_heavy_c(tmp_path), "--format", "json",
+                       "--no-cache")
+        assert proc.returncode == 1, proc.stderr
+        assert len(proc.stdout) > 2_000_000
+        assert proc.stdout.endswith("\n")
+        doc = json.loads(proc.stdout)
+        assert doc["summary"]["error"] == len(doc["reports"]) >= 3000
+
+    def test_metrics_and_ledger_are_complete(self, racy_c, tmp_path):
+        metrics = tmp_path / "metrics.json"
+        cache = tmp_path / "cache"
+        proc = run_cli("check", racy_c, "--cache-dir", str(cache),
+                       "--metrics-out", str(metrics))
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(metrics.read_text())["counters"]["fleet.items"] >= 1
+        ledger = (cache / "ledger.jsonl").read_text()
+        assert ledger.endswith("\n")
+        entry = json.loads(ledger.splitlines()[-1])
+        assert f"run: id={entry['run']}" in proc.stderr
+        assert entry["exit"] == 1
+
+    def test_reader_leaving_early_is_not_an_error(self, tmp_path):
+        # ``| head -c 100``: the report is far larger than a pipe buffer,
+        # so the CLI's writes hit EPIPE.  Exit 0, no traceback, and no
+        # "Exception ignored" from a failed flush at exit.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        cli = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "check",
+             _float_heavy_c(tmp_path), "--format", "json", "--no-cache"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = subprocess.Popen(["head", "-c", "100"], stdin=cli.stdout,
+                                stdout=subprocess.PIPE)
+        cli.stdout.close()
+        shown, _ = head.communicate(timeout=120)
+        stderr = cli.stderr.read().decode()
+        cli.stderr.close()
+        assert cli.wait(timeout=120) == 0
+        assert len(shown) == 100
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
+
+    def test_no_worker_outlives_a_jobs_2_run(self, racy_c, clean_c,
+                                             tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        metrics = tmp_path / "metrics.json"
+        # A session of its own: forked workers join its process group.
+        cli = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "check", racy_c, clean_c,
+             "--jobs", "2", "--no-cache", "--metrics-out", str(metrics)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            start_new_session=True)
+        _, stderr = cli.communicate(timeout=120)
+        assert cli.returncode == 1, stderr
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["fleet.items_fresh"] >= 2  # workers did run
+        with pytest.raises(ProcessLookupError):
+            os.killpg(cli.pid, 0)
+
+
+class TestBatchGc:
+    """``main`` tunes the collector for one command and restores it."""
+
+    def _state(self):
+        return gc.get_threshold(), gc.get_freeze_count(), gc.isenabled()
+
+    def test_main_restores_gc_state(self, racy_c):
+        from repro.cli import main
+        before = self._state()
+        assert main(["check", racy_c, "--no-cache"]) == 1
+        assert self._state() == before
+
+    def test_usage_error_restores_gc_state(self):
+        from repro.cli import main
+        before = self._state()
+        with pytest.raises(SystemExit):
+            main(["check", "--no-such-flag"])
+        assert self._state() == before
+
+    def test_already_frozen_heap_is_left_frozen(self, racy_c):
+        from repro.cli import main
+        gc.freeze()
+        try:
+            threshold, frozen, enabled = self._state()
+            main(["check", racy_c, "--no-cache"])
+            # main froze nothing more (a frozen object may have died).
+            assert self._state()[0::2] == (threshold, enabled)
+            assert 0 < gc.get_freeze_count() <= frozen
+        finally:
+            gc.unfreeze()
